@@ -76,6 +76,16 @@ func TestDesignL1AndAnswerLaplace(t *testing.T) {
 	if len(ans) != w.NumQueries() {
 		t.Fatalf("answers = %d", len(ans))
 	}
+	// The scratch release path answers the same seeded stream bit for bit.
+	xhat, err := s.mech.EstimateLaplaceInto(s.mech.GetScratch(), x, 1.0, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range w.MulQueriesInto(make([]float64, w.NumQueries()), xhat) {
+		if math.Float64bits(ans[i]) != math.Float64bits(v) {
+			t.Fatalf("AnswerLaplace[%d] = %v, scratch path %v (bit mismatch)", i, ans[i], v)
+		}
+	}
 }
 
 func TestEstimateNonNegativePublic(t *testing.T) {

@@ -26,6 +26,7 @@ var intoFuncs = map[string]struct {
 }{
 	"MulVecInto":        {dst: 1, srcs: []int{2}}, // MulVecInto(op, dst, x)
 	"MulVecTInto":       {dst: 1, srcs: []int{2}}, // MulVecTInto(op, dst, y)
+	"MulVecRangeInto":   {dst: 1, srcs: []int{2}}, // MulVecRangeInto(op, dst, x, lo, hi)
 	"SolveCGLSInto":     {dst: 2, srcs: []int{1}}, // SolveCGLSInto(a, b, dst, o, ws)
 	"SolveNormalCGInto": {dst: 2, srcs: []int{1}},
 	"SolveSymCGInto":    {dst: 2, srcs: []int{1}},
@@ -37,11 +38,12 @@ var intoMethods = map[string]struct {
 	dst  int
 	srcs []int
 }{
-	"MulVecInto":     {dst: 0, srcs: []int{1}},
-	"MulVecTInto":    {dst: 0, srcs: []int{1}},
-	"AnswerInto":     {dst: 0, srcs: []int{1}}, // TreeSolver.AnswerInto(dst, x, ws)
-	"SolveLSInto":    {dst: 0, srcs: []int{1}}, // TreeSolver.SolveLSInto(dst, y, ws)
-	"MulQueriesInto": {dst: 0, srcs: []int{1}},
+	"MulVecInto":      {dst: 0, srcs: []int{1}},
+	"MulVecTInto":     {dst: 0, srcs: []int{1}},
+	"MulVecRangeInto": {dst: 0, srcs: []int{1}}, // op.MulVecRangeInto(dst, x, lo, hi)
+	"AnswerInto":      {dst: 0, srcs: []int{1}}, // TreeSolver.AnswerInto(dst, x, ws)
+	"SolveLSInto":     {dst: 0, srcs: []int{1}}, // TreeSolver.SolveLSInto(dst, y, ws)
+	"MulQueriesInto":  {dst: 0, srcs: []int{1}},
 }
 
 // IntoAlias flags write-into kernel calls whose destination provably

@@ -48,7 +48,7 @@ func RelativeError(d *Dataset, w *workload.Workload, a *linalg.Matrix, p mm.Priv
 	if err != nil {
 		return 0, err
 	}
-	truth := w.Matrix().MulVec(d.X)
+	truth := linalg.MulVec(w.Matrix(), d.X)
 	s := o.SanityFraction * d.Total
 	var sum float64
 	count := 0

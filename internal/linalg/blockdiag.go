@@ -46,31 +46,6 @@ func (o *BlockDiagOp) Rows() int { return o.rows }
 // Cols returns the total input dimension.
 func (o *BlockDiagOp) Cols() int { return o.cols }
 
-// MulVec applies each block to its input slice and concatenates.
-func (o *BlockDiagOp) MulVec(x []float64) []float64 {
-	checkMulVecLen(o, len(x), o.cols, false)
-	out := make([]float64, 0, o.rows)
-	at := 0
-	for _, p := range o.parts {
-		out = append(out, p.MulVec(x[at:at+p.Cols()])...)
-		at += p.Cols()
-	}
-	return out
-}
-
-// MulVecT applies each block's transpose to its output slice and
-// concatenates.
-func (o *BlockDiagOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.rows, true)
-	out := make([]float64, 0, o.cols)
-	at := 0
-	for _, p := range o.parts {
-		out = append(out, p.MulVecT(y[at:at+p.Rows()])...)
-		at += p.Rows()
-	}
-	return out
-}
-
 // Gram returns the dense block-diagonal Gram matrix assembled from the
 // parts' Grams. Only call when cols² is affordable.
 func (o *BlockDiagOp) Gram() *Matrix {
@@ -126,13 +101,3 @@ func (o *ComposedOp) Rows() int { return o.outer.Rows() }
 
 // Cols returns the inner operator's column count.
 func (o *ComposedOp) Cols() int { return o.inner.Cols() }
-
-// MulVec returns outer·(inner·x).
-func (o *ComposedOp) MulVec(x []float64) []float64 {
-	return o.outer.MulVec(o.inner.MulVec(x))
-}
-
-// MulVecT returns innerᵀ·(outerᵀ·y).
-func (o *ComposedOp) MulVecT(y []float64) []float64 {
-	return o.inner.MulVecT(o.outer.MulVecT(y))
-}

@@ -22,9 +22,9 @@ func TestBlockDiagMatchesDense(t *testing.T) {
 		t.Fatal("off-block entries are not zero")
 	}
 	x := randVec(r, 10)
-	vecsClose(t, op.MulVec(x), dense.MulVec(x), 1e-12, "MulVec")
+	vecsClose(t, MulVec(op, x), MulVec(dense, x), 1e-12, "MulVec")
 	y := randVec(r, 6)
-	vecsClose(t, op.MulVecT(y), dense.TMulVec(y), 1e-12, "MulVecT")
+	vecsClose(t, MulVecT(op, y), MulVecT(dense, y), 1e-12, "MulVecT")
 
 	g := OperatorGram(op)
 	gd := dense.GramParallel()
@@ -54,9 +54,9 @@ func TestComposeOpsMatchesDense(t *testing.T) {
 	}
 	product := outer.MulParallel(inner)
 	x := randVec(r, 4)
-	vecsClose(t, op.MulVec(x), product.MulVec(x), 1e-12, "MulVec")
+	vecsClose(t, MulVec(op, x), MulVec(product, x), 1e-12, "MulVec")
 	y := randVec(r, 2)
-	vecsClose(t, op.MulVecT(y), product.TMulVec(y), 1e-12, "MulVecT")
+	vecsClose(t, MulVecT(op, y), MulVecT(product, y), 1e-12, "MulVecT")
 }
 
 func TestComposeOpsDimensionMismatchPanics(t *testing.T) {

@@ -55,7 +55,7 @@ func growVec(buf []float64, n int) []float64 {
 
 // SolveCGLS solves the least-squares problem min ‖Ax − b‖₂ by conjugate
 // gradients on the normal equations in factored form (CGLS / CGNR). Only
-// MulVec and MulVecT are used, so A may be any Operator — this is the
+// the two matvec kernels are used, so A may be any Operator — this is the
 // matrix-free inference path that replaces the dense pseudo-inverse for
 // structured strategies. Starting from x₀ = 0 the iterates stay in
 // range(Aᵀ), so for rank-deficient A the result converges to the
@@ -69,8 +69,8 @@ func SolveCGLS(a Operator, b []float64, o CGOptions) ([]float64, error) {
 }
 
 // SolveCGLSInto is SolveCGLS writing the solution into dst (length
-// a.Cols()) using caller-owned scratch. With an operator whose matvecs
-// have write-into fast paths (IntoOperator) the steady state allocates
+// a.Cols()) using caller-owned scratch. With an operator whose kernels
+// are allocation-free (see the Operator docs) the steady state allocates
 // nothing.
 func SolveCGLSInto(a Operator, b, dst []float64, o CGOptions, ws *CGWorkspace) error {
 	if len(b) != a.Rows() {

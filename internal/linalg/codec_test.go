@@ -79,12 +79,12 @@ func TestOperatorCodecRoundTrip(t *testing.T) {
 				for i := range x {
 					x[i] = r.NormFloat64()
 				}
-				compareVecs(t, "MulVec", op.MulVec(x), got.MulVec(x))
+				compareVecs(t, "MulVec", MulVec(op, x), MulVec(got, x))
 				y := make([]float64, op.Rows())
 				for i := range y {
 					y[i] = r.NormFloat64()
 				}
-				compareVecs(t, "MulVecT", op.MulVecT(y), got.MulVecT(y))
+				compareVecs(t, "MulVecT", MulVecT(op, y), MulVecT(got, y))
 			}
 			// Column norms must survive too: sensitivity is derived from
 			// them, so a codec that loses attached norms would recalibrate
@@ -141,7 +141,7 @@ func TestOperatorCodecRefusesUnknownType(t *testing.T) {
 
 type alienOp struct{}
 
-func (alienOp) Rows() int                     { return 1 }
-func (alienOp) Cols() int                     { return 1 }
-func (alienOp) MulVec(x []float64) []float64  { return x }
-func (alienOp) MulVecT(y []float64) []float64 { return y }
+func (alienOp) Rows() int                                    { return 1 }
+func (alienOp) Cols() int                                    { return 1 }
+func (alienOp) MulVecRangeInto(dst, x []float64, lo, hi int) { copy(dst, x[lo:hi]) }
+func (alienOp) MulVecTInto(dst, y []float64)                 { copy(dst, y) }

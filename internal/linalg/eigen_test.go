@@ -112,7 +112,7 @@ func TestSymEigenEigenEquation(t *testing.T) {
 	}
 	for i, lam := range eg.Values {
 		v := eg.Vectors.Row(i)
-		av := a.MulVec(v)
+		av := MulVec(a, v)
 		for j := range av {
 			if math.Abs(av[j]-lam*v[j]) > 1e-8 {
 				t.Fatalf("A v != λ v for pair %d", i)

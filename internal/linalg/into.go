@@ -1,73 +1,42 @@
-// Write-into matvec variants: the allocation-free half of the Operator
-// contract. Operator.MulVec must return freshly allocated output, which
-// is the right default for design-time code but wrong for the release hot
-// path, where the same mechanism answers the same-shaped product millions
-// of times. IntoOperator is the optional extension that lets a
-// representation write A·x into a caller-owned buffer; the MulVecInto /
-// MulVecTInto helpers fall back to the allocating path (plus a copy) for
-// operators that lack it, so callers can always work buffer-first.
+// The package's matvec spellings and the transpose kernels.
 //
-// dst must not alias x (or y): implementations overwrite dst freely,
-// including zeroing it before accumulation.
+// Every representation implements two kernels: MulVecRangeInto (rows of
+// A·x, see rowrange.go) and MulVecTInto (Aᵀ·y, below). Callers go
+// through the functions here. MulVecInto is the range kernel over
+// [0, Rows()); MulVec and MulVecT allocate the destination and call the
+// same kernels, so the allocating and the buffer-first paths of one
+// product agree bit for bit.
+//
+// dst must not alias x (or y): kernels overwrite dst freely, including
+// zeroing it before accumulation.
 
 package linalg
 
-// IntoOperator is implemented by operators whose matvecs can write into a
-// caller-supplied buffer. Structured representations on the release hot
-// path (Matrix, Sparse, Identity, Prefix, Intervals, BlockDiag and the
-// cheap wrappers) implement it allocation-free; combinators that need an
-// intermediate vector (Kron, Composed, RowPermuted) may still allocate
-// internally but keep the caller's buffer discipline intact.
-type IntoOperator interface {
-	Operator
-	// MulVecInto writes A·x into dst. len(dst) must be Rows(),
-	// len(x) must be Cols(), and dst must not alias x.
-	MulVecInto(dst, x []float64)
-	// MulVecTInto writes Aᵀ·y into dst. len(dst) must be Cols(),
-	// len(y) must be Rows(), and dst must not alias y.
-	MulVecTInto(dst, y []float64)
+// MulVec returns op·x in a freshly allocated slice.
+func MulVec(op Operator, x []float64) []float64 {
+	return MulVecInto(op, make([]float64, op.Rows()), x)
 }
 
-// MulVecInto writes op·x into dst, using the IntoOperator fast path when
-// the representation has one and falling back to MulVec plus a copy
-// otherwise. It returns dst.
+// MulVecT returns opᵀ·y in a freshly allocated slice.
+func MulVecT(op Operator, y []float64) []float64 {
+	return MulVecTInto(op, make([]float64, op.Cols()), y)
+}
+
+// MulVecInto writes op·x into dst (length Rows()) and returns dst.
 func MulVecInto(op Operator, dst, x []float64) []float64 {
 	checkMulVecLen(op, len(dst), op.Rows(), false)
-	if io, ok := op.(IntoOperator); ok {
-		io.MulVecInto(dst, x)
-		return dst
-	}
-	copy(dst, op.MulVec(x))
+	op.MulVecRangeInto(dst, x, 0, op.Rows())
 	return dst
 }
 
-// MulVecTInto writes opᵀ·y into dst, using the IntoOperator fast path
-// when available and falling back to MulVecT plus a copy otherwise. It
-// returns dst.
+// MulVecTInto writes opᵀ·y into dst (length Cols()) and returns dst.
 func MulVecTInto(op Operator, dst, y []float64) []float64 {
 	checkMulVecLen(op, len(dst), op.Cols(), true)
-	if io, ok := op.(IntoOperator); ok {
-		io.MulVecTInto(dst, y)
-		return dst
-	}
-	copy(dst, op.MulVecT(y))
+	op.MulVecTInto(dst, y)
 	return dst
 }
 
 // --- Sparse ---
-
-// MulVecInto writes A·x into dst in O(nnz) without allocating.
-func (s *Sparse) MulVecInto(dst, x []float64) {
-	checkMulVecLen(s, len(x), s.cols, false)
-	checkMulVecLen(s, len(dst), s.rows, false)
-	for i := 0; i < s.rows; i++ {
-		var acc float64
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			acc += s.val[k] * x[s.colIdx[k]]
-		}
-		dst[i] = acc
-	}
-}
 
 // MulVecTInto writes Aᵀ·y into dst in O(nnz) without allocating.
 func (s *Sparse) MulVecTInto(dst, y []float64) {
@@ -89,13 +58,6 @@ func (s *Sparse) MulVecTInto(dst, y []float64) {
 
 // --- Identity ---
 
-// MulVecInto copies x into dst.
-func (o *IdentityOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.n, false)
-	checkMulVecLen(o, len(dst), o.n, false)
-	copy(dst, x)
-}
-
 // MulVecTInto copies y into dst.
 func (o *IdentityOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.n, true)
@@ -105,18 +67,8 @@ func (o *IdentityOp) MulVecTInto(dst, y []float64) {
 
 // --- Prefix ---
 
-// MulVecInto writes the running sums of x into dst.
-func (o *PrefixOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.n, false)
-	checkMulVecLen(o, len(dst), o.n, false)
-	var s float64
-	for i, v := range x {
-		s += v
-		dst[i] = s
-	}
-}
-
-// MulVecTInto writes the reverse running sums of y into dst.
+// MulVecTInto writes the reverse running sums of y into dst: cell j is
+// counted by queries j..n-1.
 func (o *PrefixOp) MulVecTInto(dst, y []float64) {
 	checkMulVecLen(o, len(y), o.n, true)
 	checkMulVecLen(o, len(dst), o.n, true)
@@ -128,24 +80,6 @@ func (o *PrefixOp) MulVecTInto(dst, y []float64) {
 }
 
 // --- Intervals ---
-
-// MulVecInto answers every interval query into dst without the prefix
-// array: each lo keeps a running sum over hi, so the values accumulate in
-// ascending-cell order (MulVec differences two prefix sums instead and may
-// round differently in the last bit).
-func (o *IntervalsOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.d, false)
-	checkMulVecLen(o, len(dst), o.Rows(), false)
-	r := 0
-	for lo := 0; lo < o.d; lo++ {
-		var s float64
-		for hi := lo; hi < o.d; hi++ {
-			s += x[hi]
-			dst[r] = s
-			r++
-		}
-	}
-}
 
 // MulVecTInto scatters each interval weight onto its cells via a
 // difference array kept inside dst itself: the d+1-th difference cell is
@@ -178,19 +112,48 @@ func (o *IntervalsOp) MulVecTInto(dst, y []float64) {
 	}
 }
 
-// --- Structural combinators ---
+// --- Kron ---
 
-// MulVecInto applies each part into its slice of dst; allocation-free when
-// every part is.
-func (o *StackOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.cols, false)
-	checkMulVecLen(o, len(dst), o.rows, false)
-	at := 0
-	for _, p := range o.parts {
-		MulVecInto(p, dst[at:at+p.Rows()], x)
-		at += p.Rows()
+// MulVecTInto applies the factors' transposes mode by mode: before factor
+// i the working tensor has shape (n₁…nᵢ₋₁) × mᵢ × (mᵢ₊₁…m_k); factor i
+// maps its middle mode from mᵢ to nᵢ. The last mode writes dst; the
+// others allocate their working tensor.
+func (o *KronOp) MulVecTInto(dst, y []float64) {
+	checkMulVecLen(o, len(y), o.rows, true)
+	checkMulVecLen(o, len(dst), o.cols, true)
+	cur := y
+	left := 1
+	for fi, f := range o.factors {
+		m, n := f.Rows(), f.Cols()
+		right := 1
+		for _, g := range o.factors[fi+1:] {
+			right *= g.Rows()
+		}
+		next := dst
+		if fi < len(o.factors)-1 {
+			next = make([]float64, left*n*right)
+		}
+		buf := make([]float64, m)
+		out := make([]float64, n)
+		for l := 0; l < left; l++ {
+			for r := 0; r < right; r++ {
+				base := l * m * right
+				for i := 0; i < m; i++ {
+					buf[i] = cur[base+i*right+r]
+				}
+				MulVecTInto(f, out, buf)
+				obase := l * n * right
+				for j := 0; j < n; j++ {
+					next[obase+j*right+r] = out[j]
+				}
+			}
+		}
+		cur = next
+		left *= n
 	}
 }
+
+// --- Structural combinators ---
 
 // MulVecTInto accumulates the parts' transposed products. The first part
 // writes dst directly; later parts go through a temporary (one allocation
@@ -216,19 +179,6 @@ func (o *StackOp) MulVecTInto(dst, y []float64) {
 	}
 }
 
-// MulVecInto applies each block into its slices of dst and x;
-// allocation-free when every part is.
-func (o *BlockDiagOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(x), o.cols, false)
-	checkMulVecLen(o, len(dst), o.rows, false)
-	atR, atC := 0, 0
-	for _, p := range o.parts {
-		MulVecInto(p, dst[atR:atR+p.Rows()], x[atC:atC+p.Cols()])
-		atR += p.Rows()
-		atC += p.Cols()
-	}
-}
-
 // MulVecTInto applies each block's transpose into its slices of dst and y;
 // allocation-free when every part is.
 func (o *BlockDiagOp) MulVecTInto(dst, y []float64) {
@@ -242,27 +192,11 @@ func (o *BlockDiagOp) MulVecTInto(dst, y []float64) {
 	}
 }
 
-// MulVecInto writes s·(A x) into dst.
-func (o *ScaledOp) MulVecInto(dst, x []float64) {
-	MulVecInto(o.base, dst, x)
-	for i := range dst {
-		dst[i] *= o.s
-	}
-}
-
 // MulVecTInto writes s·(Aᵀ y) into dst.
 func (o *ScaledOp) MulVecTInto(dst, y []float64) {
 	MulVecTInto(o.base, dst, y)
 	for i := range dst {
 		dst[i] *= o.s
-	}
-}
-
-// MulVecInto writes diag(scale)·(A x) into dst.
-func (o *RowScaledOp) MulVecInto(dst, x []float64) {
-	MulVecInto(o.base, dst, x)
-	for i := range dst {
-		dst[i] *= o.scale[i]
 	}
 }
 
@@ -277,36 +211,22 @@ func (o *RowScaledOp) MulVecTInto(dst, y []float64) {
 	MulVecTInto(o.base, dst, scaled)
 }
 
-// MulVecInto delegates to the wrapped operator's fast path.
-func (o *NormedOp) MulVecInto(dst, x []float64) { MulVecInto(o.Operator, dst, x) }
-
-// MulVecTInto delegates to the wrapped operator's fast path.
-func (o *NormedOp) MulVecTInto(dst, y []float64) { MulVecTInto(o.Operator, dst, y) }
-
-// MulVecInto computes the base product and gathers the selected rows; it
-// allocates the base-sized intermediate.
-func (o *RowPermutedOp) MulVecInto(dst, x []float64) {
-	checkMulVecLen(o, len(dst), len(o.perm), false)
+// MulVecTInto scatters y into base row positions and applies the base
+// transpose. An identity base's transpose is the scatter itself, which
+// runs in dst allocation-free; other bases go through an allocated
+// base-sized intermediate.
+func (o *RowPermutedOp) MulVecTInto(dst, y []float64) {
+	checkMulVecLen(o, len(y), len(o.perm), true)
 	if _, ok := o.base.(*IdentityOp); ok {
-		// An identity base's product is a bit-exact copy of x, so gather
-		// straight from x — row selections (shard projections) answer
-		// allocation-free.
-		checkMulVecLen(o, len(x), o.base.Cols(), false)
+		checkMulVecLen(o, len(dst), o.base.Cols(), true)
+		for j := range dst {
+			dst[j] = 0
+		}
 		for i, p := range o.perm {
-			dst[i] = x[p]
+			dst[p] += y[i]
 		}
 		return
 	}
-	full := o.base.MulVec(x)
-	for i, p := range o.perm {
-		dst[i] = full[p]
-	}
-}
-
-// MulVecTInto scatters y into base row positions and applies the base
-// transpose; it allocates the base-sized intermediate.
-func (o *RowPermutedOp) MulVecTInto(dst, y []float64) {
-	checkMulVecLen(o, len(y), len(o.perm), true)
 	full := make([]float64, o.base.Rows())
 	for i, p := range o.perm {
 		full[p] += y[i]
@@ -314,34 +234,7 @@ func (o *RowPermutedOp) MulVecTInto(dst, y []float64) {
 	MulVecTInto(o.base, dst, full)
 }
 
-// MulVecInto applies inner then outer through an allocated intermediate of
-// inner.Rows() values.
-func (o *ComposedOp) MulVecInto(dst, x []float64) {
-	mid := make([]float64, o.inner.Rows())
-	MulVecInto(o.inner, mid, x)
-	MulVecInto(o.outer, dst, mid)
-}
-
 // MulVecTInto applies outerᵀ then innerᵀ through an allocated intermediate.
 func (o *ComposedOp) MulVecTInto(dst, y []float64) {
-	mid := make([]float64, o.outer.Cols())
-	MulVecTInto(o.outer, mid, y)
-	MulVecTInto(o.inner, dst, mid)
-}
-
-// Compile-time checks that the hot-path representations implement the
-// write-into extension.
-var _ = []IntoOperator{
-	(*Matrix)(nil),
-	(*Sparse)(nil),
-	(*IdentityOp)(nil),
-	(*PrefixOp)(nil),
-	(*IntervalsOp)(nil),
-	(*StackOp)(nil),
-	(*BlockDiagOp)(nil),
-	(*ScaledOp)(nil),
-	(*RowScaledOp)(nil),
-	(*RowPermutedOp)(nil),
-	(*NormedOp)(nil),
-	(*ComposedOp)(nil),
+	MulVecTInto(o.inner, dst, MulVecT(o.outer, y))
 }

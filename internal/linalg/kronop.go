@@ -2,8 +2,8 @@ package linalg
 
 // KronOp is the Kronecker product A₁ ⊗ A₂ ⊗ … ⊗ A_k of arbitrary
 // operators, evaluated factor by factor without ever materializing the
-// product: a matvec costs Σᵢ (Πⱼ<ᵢ mⱼ)·(Πⱼ>ᵢ nⱼ) factor matvecs instead of
-// Π mᵢ · Π nᵢ work. Row and column ordering match the dense Kronecker
+// product (see kronRange for the forward kernel and MulVecTInto for the
+// transpose). Row and column ordering match the dense Kronecker
 // construction (first factor is most significant).
 type KronOp struct {
 	factors []Operator
@@ -36,67 +36,6 @@ func (o *KronOp) Rows() int { return o.rows }
 
 // Cols returns Π nᵢ.
 func (o *KronOp) Cols() int { return o.cols }
-
-// MulVec applies the factors mode by mode: before factor i the working
-// tensor has shape (m₁…mᵢ₋₁) × nᵢ × (nᵢ₊₁…n_k); factor i maps its middle
-// mode from nᵢ to mᵢ.
-func (o *KronOp) MulVec(x []float64) []float64 {
-	checkMulVecLen(o, len(x), o.cols, false)
-	return o.apply(x, false)
-}
-
-// MulVecT is the transposed product, applying each factor's MulVecT.
-func (o *KronOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.rows, true)
-	return o.apply(y, true)
-}
-
-func (o *KronOp) apply(x []float64, transposed bool) []float64 {
-	dimIn := func(f Operator) int {
-		if transposed {
-			return f.Rows()
-		}
-		return f.Cols()
-	}
-	dimOut := func(f Operator) int {
-		if transposed {
-			return f.Cols()
-		}
-		return f.Rows()
-	}
-	cur := x
-	left := 1
-	for fi, f := range o.factors {
-		n, m := dimIn(f), dimOut(f)
-		right := 1
-		for _, g := range o.factors[fi+1:] {
-			right *= dimIn(g)
-		}
-		next := make([]float64, left*m*right)
-		buf := make([]float64, n)
-		for l := 0; l < left; l++ {
-			for r := 0; r < right; r++ {
-				base := l * n * right
-				for j := 0; j < n; j++ {
-					buf[j] = cur[base+j*right+r]
-				}
-				var out []float64
-				if transposed {
-					out = f.MulVecT(buf)
-				} else {
-					out = f.MulVec(buf)
-				}
-				obase := l * m * right
-				for i := 0; i < m; i++ {
-					next[obase+i*right+r] = out[i]
-				}
-			}
-		}
-		cur = next
-		left *= m
-	}
-	return cur
-}
 
 // Gram returns the dense Kronecker product of the factors' Gram matrices
 // (Gram distributes over ⊗). Use only when Cols() is affordable.

@@ -6,9 +6,22 @@
 // the representation a pluggable choice: a query workload, a strategy, or a
 // Gram matrix can be a dense Matrix, a CSR Sparse matrix, an analytic
 // structured form (Identity, Prefix, Intervals), or a Kronecker product of
-// any of these — and the mechanism runtime only ever needs matrix-vector
-// products (see SolveCGLS for the matrix-free least-squares inference that
-// replaces the dense pseudo-inverse past small n).
+// any of these.
+//
+// The mechanism touches a strategy A in exactly two ways: it answers
+// y = A·x (plus noise) and it infers x̂ by least squares, which needs Aᵀ.
+// So every representation implements exactly two kernels, both writing
+// into caller-owned buffers:
+//
+//   - MulVecRangeInto answers rows [lo,hi) of A·x. The full product is the
+//     range [0, Rows()); a streamed release asks for one chunk at a time
+//     and gets the same bits the full product would (see rowrange.go).
+//   - MulVecTInto writes Aᵀ·y (see into.go).
+//
+// Callers go through the package functions MulVec, MulVecT, MulVecInto,
+// MulVecTInto and MulVecRangeInto, all thin wrappers over the two
+// kernels, so every path through the package computes one product the
+// same way.
 //
 // Representation guide:
 //
@@ -44,18 +57,21 @@ import (
 // conversions only — matrix-free answering has no size cap.
 const MaterializeCap = 8 << 20
 
-// Operator is a real linear map R^cols → R^rows presented through
-// matrix-vector products. Implementations must not retain or modify the
-// input slice and must return freshly allocated output.
+// Operator is a real linear map R^cols → R^rows presented through its two
+// matvec kernels. Kernels must not retain or modify their input, must not
+// be called with a destination that aliases the input, and overwrite
+// every destination cell they own.
 type Operator interface {
 	// Rows returns the output dimension m.
 	Rows() int
 	// Cols returns the input dimension n.
 	Cols() int
-	// MulVec returns A·x. It panics if len(x) != Cols().
-	MulVec(x []float64) []float64
-	// MulVecT returns Aᵀ·y. It panics if len(y) != Rows().
-	MulVecT(y []float64) []float64
+	// MulVecRangeInto writes rows [lo,hi) of A·x into dst[:hi-lo].
+	// len(x) must be Cols(), 0 ≤ lo ≤ hi ≤ Rows() and len(dst) ≥ hi-lo.
+	MulVecRangeInto(dst, x []float64, lo, hi int)
+	// MulVecTInto writes Aᵀ·y into dst. len(dst) must be Cols() and
+	// len(y) must be Rows().
+	MulVecTInto(dst, y []float64)
 }
 
 // Grammer is implemented by operators that can produce their dense Gram
@@ -75,10 +91,6 @@ type ColNormsL1er interface {
 	ColNormsL1() []float64
 }
 
-// MulVecT returns mᵀ·y; it makes *Matrix satisfy Operator (the dense
-// representation). It is TMulVec under the Operator spelling.
-func (m *Matrix) MulVecT(y []float64) []float64 { return m.TMulVec(y) }
-
 // ToDense materializes an operator as a dense Matrix by probing it with
 // basis vectors (one MulVec per column). The dense representation itself is
 // returned unchanged. Use only when rows*cols is affordable.
@@ -91,7 +103,7 @@ func ToDense(op Operator) *Matrix {
 	e := make([]float64, cols)
 	for j := 0; j < cols; j++ {
 		e[j] = 1
-		col := op.MulVec(e)
+		col := MulVec(op, e)
 		e[j] = 0
 		for i, v := range col {
 			out.data[i*cols+j] = v
@@ -115,7 +127,7 @@ func OperatorGram(op Operator) *Matrix {
 	e := make([]float64, n)
 	for j := 0; j < n; j++ {
 		e[j] = 1
-		col := op.MulVecT(op.MulVec(e))
+		col := MulVecT(op, MulVec(op, e))
 		e[j] = 0
 		for i, v := range col {
 			out.data[i*n+j] = v
@@ -146,7 +158,7 @@ func OperatorColNorms2(op Operator) []float64 {
 	e := make([]float64, n)
 	for j := 0; j < n; j++ {
 		e[j] = 1
-		col := op.MulVec(e)
+		col := MulVec(op, e)
 		e[j] = 0
 		var s float64
 		for _, v := range col {
@@ -171,7 +183,7 @@ func OperatorColNormsL1(op Operator) []float64 {
 	e := make([]float64, n)
 	for j := 0; j < n; j++ {
 		e[j] = 1
-		col := op.MulVec(e)
+		col := MulVec(op, e)
 		e[j] = 0
 		var s float64
 		for _, v := range col {
@@ -228,18 +240,6 @@ func (o *IdentityOp) Rows() int { return o.n }
 // Cols returns n.
 func (o *IdentityOp) Cols() int { return o.n }
 
-// MulVec returns a copy of x.
-func (o *IdentityOp) MulVec(x []float64) []float64 {
-	checkMulVecLen(o, len(x), o.n, false)
-	return append([]float64(nil), x...)
-}
-
-// MulVecT returns a copy of y.
-func (o *IdentityOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.n, true)
-	return append([]float64(nil), y...)
-}
-
 // Gram returns the identity matrix.
 func (o *IdentityOp) Gram() *Matrix { return Identity(o.n) }
 
@@ -263,31 +263,6 @@ func (o *PrefixOp) Rows() int { return o.n }
 
 // Cols returns n.
 func (o *PrefixOp) Cols() int { return o.n }
-
-// MulVec returns the running sums of x.
-func (o *PrefixOp) MulVec(x []float64) []float64 {
-	checkMulVecLen(o, len(x), o.n, false)
-	out := make([]float64, o.n)
-	var s float64
-	for i, v := range x {
-		s += v
-		out[i] = s
-	}
-	return out
-}
-
-// MulVecT returns the reverse running sums of y: cell j is counted by
-// queries j..n-1.
-func (o *PrefixOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.n, true)
-	out := make([]float64, o.n)
-	var s float64
-	for j := o.n - 1; j >= 0; j-- {
-		s += y[j]
-		out[j] = s
-	}
-	return out
-}
 
 // Gram returns the analytic Gram matrix: G_ij = n − max(i,j).
 func (o *PrefixOp) Gram() *Matrix {
@@ -334,51 +309,6 @@ func (o *IntervalsOp) Rows() int { return o.d * (o.d + 1) / 2 }
 
 // Cols returns d.
 func (o *IntervalsOp) Cols() int { return o.d }
-
-// MulVec answers every interval query via prefix sums.
-func (o *IntervalsOp) MulVec(x []float64) []float64 {
-	checkMulVecLen(o, len(x), o.d, false)
-	prefix := make([]float64, o.d+1) // prefix[i] = Σ x[:i]
-	for i, v := range x {
-		prefix[i+1] = prefix[i] + v
-	}
-	out := make([]float64, o.Rows())
-	r := 0
-	for lo := 0; lo < o.d; lo++ {
-		p := prefix[lo]
-		for hi := lo; hi < o.d; hi++ {
-			out[r] = prefix[hi+1] - p
-			r++
-		}
-	}
-	return out
-}
-
-// MulVecT scatters each interval weight onto its cells via a difference
-// array, in O(rows + d).
-func (o *IntervalsOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.Rows(), true)
-	diff := make([]float64, o.d+1)
-	r := 0
-	for lo := 0; lo < o.d; lo++ {
-		for hi := lo; hi < o.d; hi++ {
-			v := y[r]
-			r++
-			if v == 0 {
-				continue
-			}
-			diff[lo] += v
-			diff[hi+1] -= v
-		}
-	}
-	out := make([]float64, o.d)
-	var s float64
-	for j := 0; j < o.d; j++ {
-		s += diff[j]
-		out[j] = s
-	}
-	return out
-}
 
 // Gram returns the analytic Gram matrix: entry (i,j) counts intervals
 // containing both cells, (min(i,j)+1)·(d−max(i,j)).
@@ -446,31 +376,6 @@ func (o *StackOp) Rows() int { return o.rows }
 // Cols returns the shared column count.
 func (o *StackOp) Cols() int { return o.cols }
 
-// MulVec concatenates the parts' products.
-func (o *StackOp) MulVec(x []float64) []float64 {
-	checkMulVecLen(o, len(x), o.cols, false)
-	out := make([]float64, 0, o.rows)
-	for _, p := range o.parts {
-		out = append(out, p.MulVec(x)...)
-	}
-	return out
-}
-
-// MulVecT sums the parts' transposed products over the matching row slices.
-func (o *StackOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.rows, true)
-	out := make([]float64, o.cols)
-	at := 0
-	for _, p := range o.parts {
-		part := p.MulVecT(y[at : at+p.Rows()])
-		at += p.Rows()
-		for j, v := range part {
-			out[j] += v
-		}
-	}
-	return out
-}
-
 // Gram returns the sum of the parts' Gram matrices. The first part's Gram
 // is cloned before accumulating: a Grammer is allowed to return a retained
 // matrix, which the in-place sum must not corrupt.
@@ -522,12 +427,6 @@ func (o *ScaledOp) Rows() int { return o.base.Rows() }
 // Cols returns the base column count.
 func (o *ScaledOp) Cols() int { return o.base.Cols() }
 
-// MulVec returns s·(A x).
-func (o *ScaledOp) MulVec(x []float64) []float64 { return scaleVec(o.base.MulVec(x), o.s) }
-
-// MulVecT returns s·(Aᵀ y).
-func (o *ScaledOp) MulVecT(y []float64) []float64 { return scaleVec(o.base.MulVecT(y), o.s) }
-
 // Gram returns s²·(AᵀA).
 func (o *ScaledOp) Gram() *Matrix { return OperatorGram(o.base).Scale(o.s * o.s) }
 
@@ -564,25 +463,6 @@ func (o *RowScaledOp) Rows() int { return o.base.Rows() }
 // Cols returns the base column count.
 func (o *RowScaledOp) Cols() int { return o.base.Cols() }
 
-// MulVec returns diag(scale)·(A x).
-func (o *RowScaledOp) MulVec(x []float64) []float64 {
-	out := o.base.MulVec(x)
-	for i := range out {
-		out[i] *= o.scale[i]
-	}
-	return out
-}
-
-// MulVecT returns Aᵀ·(diag(scale) y).
-func (o *RowScaledOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), o.Rows(), true)
-	scaled := make([]float64, len(y))
-	for i, v := range y {
-		scaled[i] = v * o.scale[i]
-	}
-	return o.base.MulVecT(scaled)
-}
-
 // RowPermutedOp selects (and reorders) rows of a base operator: row i of
 // the result is row perm[i] of the base. perm may be shorter than the base
 // row count (a row subset).
@@ -606,27 +486,6 @@ func (o *RowPermutedOp) Rows() int { return len(o.perm) }
 
 // Cols returns the base column count.
 func (o *RowPermutedOp) Cols() int { return o.base.Cols() }
-
-// MulVec computes the base product and gathers the selected rows.
-func (o *RowPermutedOp) MulVec(x []float64) []float64 {
-	full := o.base.MulVec(x)
-	out := make([]float64, len(o.perm))
-	for i, p := range o.perm {
-		out[i] = full[p]
-	}
-	return out
-}
-
-// MulVecT scatters y into base row positions and applies the base
-// transpose.
-func (o *RowPermutedOp) MulVecT(y []float64) []float64 {
-	checkMulVecLen(o, len(y), len(o.perm), true)
-	full := make([]float64, o.base.Rows())
-	for i, p := range o.perm {
-		full[p] += y[i]
-	}
-	return o.base.MulVecT(full)
-}
 
 // NormedOp wraps an operator with precomputed column norms, letting
 // assembled strategies (whose norms are known from the weighting program)

@@ -43,8 +43,8 @@ func checkOperatorAgainstDense(t *testing.T, op Operator, seed int64, label stri
 	r := rand.New(rand.NewSource(seed))
 	x := randVec(r, op.Cols())
 	y := randVec(r, op.Rows())
-	vecsClose(t, op.MulVec(x), dense.MulVec(x), 1e-11, label+" MulVec")
-	vecsClose(t, op.MulVecT(y), dense.TMulVec(y), 1e-11, label+" MulVecT")
+	vecsClose(t, MulVec(op, x), MulVec(dense, x), 1e-11, label+" MulVec")
+	vecsClose(t, MulVecT(op, y), MulVecT(dense, y), 1e-11, label+" MulVecT")
 	vecsClose(t, OperatorColNorms2(op), dense.ColNorms2(), 1e-11, label+" ColNorms2")
 	vecsClose(t, OperatorColNormsL1(op), dense.ColNormsL1(), 1e-11, label+" ColNormsL1")
 	g := OperatorGram(op)
@@ -238,7 +238,7 @@ func TestSolveCGLSMatchesPseudoInverse(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := randVec(r, m)
-		want := pinv.MulVec(b)
+		want := MulVec(pinv, b)
 		got, err := SolveCGLS(a, b, CGOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +256,7 @@ func TestSolveCGLSRankDeficientMinNorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := []float64{1, 5}
-	want := pinv.MulVec(b)
+	want := MulVec(pinv, b)
 	got, err := SolveCGLS(a, b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestSolveNormalCG(t *testing.T) {
 	a := randMatrix(r, 12, 6)
 	g := a.Gram()
 	x := randVec(r, 6)
-	b := g.MulVec(x)
+	b := MulVec(g, x)
 	got, err := SolveNormalCG(a, b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)

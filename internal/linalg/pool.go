@@ -141,14 +141,16 @@ func matvecRowBlock(cols int) int {
 	return b
 }
 
-// matvecTask is a pooled dense A·x task over row blocks.
+// matvecTask is a pooled dense A·x task over the row blocks of the range
+// starting at row lo; block [a,b) writes dst[a:b].
 type matvecTask struct {
 	m   *Matrix
 	dst []float64
 	x   []float64
+	lo  int
 }
 
-func (t *matvecTask) runBlock(lo, hi int) { t.m.mulVecRange(t.dst, t.x, lo, hi) }
+func (t *matvecTask) runBlock(a, b int) { t.m.mulVecRange(t.dst[a:b], t.x, t.lo+a, t.lo+b) }
 
 // matvecTTask is a pooled dense Aᵀ·y task over column blocks: each block
 // owns dst[lo:hi] and streams the matching column stripe of every row, so
@@ -167,8 +169,8 @@ var (
 	matvecTTaskPool = sync.Pool{New: func() any { return new(matvecTTask) }}
 )
 
-// mulVecRange writes rows [lo, hi) of m·x into dst, four partial sums per
-// row so the compiler can keep independent FMA chains in flight.
+// mulVecRange writes rows [lo, hi) of m·x into dst[:hi-lo], four partial
+// sums per row so the compiler can keep independent FMA chains in flight.
 func (m *Matrix) mulVecRange(dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := m.data[i*m.cols : (i+1)*m.cols]
@@ -184,12 +186,12 @@ func (m *Matrix) mulVecRange(dst, x []float64, lo, hi int) {
 		for ; j < len(row); j++ {
 			s += row[j] * x[j]
 		}
-		dst[i] = s
+		dst[i-lo] = s
 	}
 }
 
 // tMulVecRange accumulates the column stripe [lo, hi) of mᵀ·y into
-// dst[lo:hi], skipping zero weights like TMulVec.
+// dst[lo:hi], skipping zero weights.
 func (m *Matrix) tMulVecRange(dst, y []float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		dst[j] = 0
@@ -207,22 +209,27 @@ func (m *Matrix) tMulVecRange(dst, y []float64, lo, hi int) {
 	}
 }
 
-// MulVecInto writes m·x into dst without allocating, fanning large
-// products out across the worker pool.
-func (m *Matrix) MulVecInto(dst, x []float64) {
+// MulVecRangeInto writes rows [lo,hi) of m·x into dst without
+// allocating, fanning large ranges out across the worker pool. Every row
+// runs the same unrolled kernel whatever the range or block split, so
+// chunked and full products agree bit for bit.
+func (m *Matrix) MulVecRangeInto(dst, x []float64, lo, hi int) {
+	checkRowRange(m, lo, hi, len(dst))
 	checkMulVecLen(m, len(x), m.cols, false)
-	checkMulVecLen(m, len(dst), m.rows, false)
-	work := m.rows * m.cols
-	if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 && work > denseMatvecThreshold && m.rows >= 2 {
+	n := hi - lo
+	if helpers := runtime.GOMAXPROCS(0) - 1; helpers > 0 && n*m.cols > denseMatvecThreshold && n >= 2 {
 		t := matvecTaskPool.Get().(*matvecTask)
-		t.m, t.dst, t.x = m, dst, x
-		runParallel(t, m.rows, matvecRowBlock(m.cols), helpers)
+		t.m, t.dst, t.x, t.lo = m, dst, x, lo
+		runParallel(t, n, matvecRowBlock(m.cols), helpers)
 		t.m, t.dst, t.x = nil, nil, nil
 		matvecTaskPool.Put(t)
 		return
 	}
-	m.mulVecRange(dst, x, 0, m.rows)
+	m.mulVecRange(dst, x, lo, hi)
 }
+
+// MulVecInto writes m·x into dst; it is MulVecInto(m, dst, x).
+func (m *Matrix) MulVecInto(dst, x []float64) { MulVecInto(m, dst, x) }
 
 // MulVecTInto writes mᵀ·y into dst without allocating, fanning large
 // products out across the worker pool by column stripe.

@@ -1,21 +1,19 @@
-// Row-range matvec: the chunked third of the Operator contract. MulVec
-// materializes all m rows and MulVecInto needs a caller buffer of all m
-// rows; both make peak memory O(rows), which is exactly what a streaming
-// release must avoid — the large structured workloads (all-range on 2048
-// cells is ~2.1M rows) are answerable but not materializable per release.
-// RowChunkAnswerer lets a representation answer just rows [lo,hi) of A·x
-// into a chunk-sized buffer, so a release pipeline can stream answers
-// with peak memory bounded by the chunk size instead of the workload.
+// Row-range matvec: the forward kernel of the Operator contract.
+// MulVecRangeInto answers rows [lo,hi) of A·x into a caller-supplied
+// buffer, and the full forward product is just the range [0, Rows()).
+// Streaming releases call it one chunk at a time, so their peak memory is
+// bounded by the chunk size instead of the workload — the large
+// structured workloads (all-range on 2048 cells is ~2.1M rows) are
+// answerable but not materializable per release.
 //
 // Bit-compatibility contract: for every representation,
 //
-//	MulVecRangeInto(dst, x, lo, hi)  ==  MulVecInto(full, x)[lo:hi]
+//	op.MulVecRangeInto(dst, x, lo, hi)  ==  MulVec(op, x)[lo:hi]
 //
-// bit for bit (for operators without an Into form — Kron — the reference
-// is MulVec, which is what the Into helper falls back to). Streamed and
-// buffered releases of the same noisy estimate must agree exactly, so
-// every range kernel below reproduces the full kernel's accumulation
-// order, including partial sums recomputed up to a mid-segment start.
+// bit for bit. Streamed and buffered releases of the same noisy estimate
+// must agree exactly, so every range kernel below reproduces its own
+// full-range accumulation order, including partial sums recomputed up to
+// a mid-segment start.
 //
 // Structured analytic operators (Prefix, Intervals, Stack, BlockDiag and
 // the cheap wrappers) answer a chunk allocation-free in O(chunk + setup)
@@ -29,31 +27,11 @@ package linalg
 
 import "fmt"
 
-// RowChunkAnswerer is implemented by operators that can answer a
-// contiguous row range of A·x into a caller-supplied buffer without
-// materializing the other rows.
-type RowChunkAnswerer interface {
-	Operator
-	// MulVecRangeInto writes rows [lo,hi) of A·x into dst[:hi-lo].
-	// len(x) must be Cols(), 0 ≤ lo ≤ hi ≤ Rows(), len(dst) ≥ hi-lo, and
-	// dst must not alias x. The values are bit-identical to the matching
-	// window of MulVecInto (MulVec for operators without an Into form).
-	MulVecRangeInto(dst, x []float64, lo, hi int)
-}
-
-// MulVecRangeInto writes rows [lo,hi) of op·x into dst, using the
-// RowChunkAnswerer fast path when the representation has one and falling
-// back to a full product plus a copy otherwise (O(rows) scratch — the
-// fallback keeps exotic operators correct, not bounded). It returns dst.
+// MulVecRangeInto writes rows [lo,hi) of op·x into dst[:hi-lo] and
+// returns dst.
 func MulVecRangeInto(op Operator, dst, x []float64, lo, hi int) []float64 {
 	checkRowRange(op, lo, hi, len(dst))
-	if ra, ok := op.(RowChunkAnswerer); ok {
-		ra.MulVecRangeInto(dst, x, lo, hi)
-		return dst
-	}
-	full := make([]float64, op.Rows())
-	MulVecInto(op, full, x)
-	copy(dst, full[lo:hi])
+	op.MulVecRangeInto(dst, x, lo, hi)
 	return dst
 }
 
@@ -64,31 +42,6 @@ func checkRowRange(op Operator, lo, hi, dstLen int) {
 	}
 	if dstLen < hi-lo {
 		panic(fmt.Sprintf("linalg: MulVecRangeInto buffer %d for %d rows", dstLen, hi-lo))
-	}
-}
-
-// --- Matrix ---
-
-// MulVecRangeInto answers dense rows [lo,hi) with the same unrolled row
-// kernel the full matvec uses, so chunked answers match it bit for bit.
-func (m *Matrix) MulVecRangeInto(dst, x []float64, lo, hi int) {
-	checkRowRange(m, lo, hi, len(dst))
-	checkMulVecLen(m, len(x), m.cols, false)
-	for i := lo; i < hi; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j+4 <= len(row); j += 4 {
-			s0 += row[j] * x[j]
-			s1 += row[j+1] * x[j+1]
-			s2 += row[j+2] * x[j+2]
-			s3 += row[j+3] * x[j+3]
-		}
-		s := s0 + s1 + s2 + s3
-		for ; j < len(row); j++ {
-			s += row[j] * x[j]
-		}
-		dst[i-lo] = s
 	}
 }
 
@@ -139,8 +92,8 @@ func (o *PrefixOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
 
 // MulVecRangeInto walks the lo-major interval blocks, skipping whole
 // blocks before the range and re-accumulating the partial running sum of
-// the first covered block in ascending-cell order — the same fold the
-// full write-into kernel uses, so chunk boundaries never change a bit.
+// the first covered block in ascending-cell order, so chunk boundaries
+// never change a bit.
 func (o *IntervalsOp) MulVecRangeInto(dst, x []float64, rlo, rhi int) {
 	checkRowRange(o, rlo, rhi, len(dst))
 	checkMulVecLen(o, len(x), o.d, false)
@@ -170,12 +123,12 @@ func (o *IntervalsOp) MulVecRangeInto(dst, x []float64, rlo, rhi int) {
 // MulVecRangeInto answers rows [lo,hi) of the Kronecker product by
 // recursing on the leading factor: the covered leading rows r₁ select
 // slabs z[q] = (A₁·x[·,q])[r₁] of the first mode application, and the
-// remaining factors answer their sub-range of each slab. The slabs are
-// extracted from full leading-factor matvecs — the same per-column
-// products the mode-by-mode MulVec computes — so chunked Kron answers are
-// bit-identical to the buffered ones. Internal scratch is bounded by the
-// covered slab count × the trailing column product and the factor row
-// counts, never by the total row count.
+// remaining factors answer their sub-range of each slab. Every factor
+// product goes through the factor's own range kernel, whose windows match
+// its full product bit for bit, so every chunking of a Kron product
+// agrees with the full range. Internal scratch is bounded by the covered
+// slab count × the trailing column product and the factor dimensions,
+// never by the total row count.
 func (o *KronOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
 	checkRowRange(o, lo, hi, len(dst))
 	checkMulVecLen(o, len(x), o.cols, false)
@@ -190,10 +143,7 @@ func kronRange(factors []Operator, dst, x []float64, lo, hi int) {
 	}
 	f := factors[0]
 	if len(factors) == 1 {
-		// The mode-by-mode algorithm applies the last factor's MulVec to
-		// each slab whole; reproduce that and keep the window.
-		full := f.MulVec(x)
-		copy(dst, full[lo:hi])
+		f.MulVecRangeInto(dst, x, lo, hi)
 		return
 	}
 	rest := factors[1:]
@@ -204,17 +154,18 @@ func kronRange(factors []Operator, dst, x []float64, lo, hi int) {
 	}
 	n1 := f.Cols()
 	r1a, r1b := lo/mRest, (hi-1)/mRest+1
-	// slabs[(r1-r1a)*nRest+q] = (A₁·x[·,q])[r1]: one full factor matvec
-	// per trailing column, shared by every covered leading row.
+	// slabs[(r1-r1a)*nRest+q] = (A₁·x[·,q])[r1]: one factor range
+	// product per trailing column, shared by every covered leading row.
 	slabs := make([]float64, (r1b-r1a)*nRest)
 	buf := make([]float64, n1)
+	out := make([]float64, r1b-r1a)
 	for q := 0; q < nRest; q++ {
 		for j := 0; j < n1; j++ {
 			buf[j] = x[j*nRest+q]
 		}
-		out := f.MulVec(buf)
+		f.MulVecRangeInto(out, buf, r1a, r1b)
 		for r1 := r1a; r1 < r1b; r1++ {
-			slabs[(r1-r1a)*nRest+q] = out[r1]
+			slabs[(r1-r1a)*nRest+q] = out[r1-r1a]
 		}
 	}
 	for r1 := r1a; r1 < r1b; r1++ {
@@ -302,16 +253,11 @@ func (o *RowScaledOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
 	}
 }
 
-// MulVecRangeInto delegates to the wrapped operator's range path.
-func (o *NormedOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
-	MulVecRangeInto(o.Operator, dst, x, lo, hi)
-}
-
-// MulVecRangeInto computes the base product and gathers the selected rows
-// of the window. Like the full write-into kernel it allocates the
-// base-sized intermediate (the permutation makes the range non-contiguous
-// in the base), and it reuses the base's own MulVec so the gathered values
-// are the buffered ones.
+// MulVecRangeInto gathers the selected rows of the window from the full
+// base product, which it allocates (the permutation makes the range
+// non-contiguous in the base). An identity base's product is a bit-exact
+// copy of x, so that case gathers straight from x — row selections (shard
+// projections) answer allocation-free.
 func (o *RowPermutedOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
 	checkRowRange(o, lo, hi, len(dst))
 	if _, ok := o.base.(*IdentityOp); ok {
@@ -321,7 +267,7 @@ func (o *RowPermutedOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
 		}
 		return
 	}
-	full := o.base.MulVec(x)
+	full := MulVec(o.base, x)
 	for i, p := range o.perm[lo:hi] {
 		dst[i] = full[p]
 	}
@@ -332,25 +278,5 @@ func (o *RowPermutedOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
 // the outer range on it.
 func (o *ComposedOp) MulVecRangeInto(dst, x []float64, lo, hi int) {
 	checkRowRange(o, lo, hi, len(dst))
-	mid := make([]float64, o.inner.Rows())
-	MulVecInto(o.inner, mid, x)
-	MulVecRangeInto(o.outer, dst, mid, lo, hi)
-}
-
-// Compile-time checks that every hot-path representation can answer row
-// ranges.
-var _ = []RowChunkAnswerer{
-	(*Matrix)(nil),
-	(*Sparse)(nil),
-	(*IdentityOp)(nil),
-	(*PrefixOp)(nil),
-	(*IntervalsOp)(nil),
-	(*KronOp)(nil),
-	(*StackOp)(nil),
-	(*BlockDiagOp)(nil),
-	(*ScaledOp)(nil),
-	(*RowScaledOp)(nil),
-	(*RowPermutedOp)(nil),
-	(*NormedOp)(nil),
-	(*ComposedOp)(nil),
+	MulVecRangeInto(o.outer, dst, MulVec(o.inner, x), lo, hi)
 }

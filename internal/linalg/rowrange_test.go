@@ -7,9 +7,8 @@ import (
 )
 
 // rangeCase pairs an operator with the reference product a chunked answer
-// must reproduce bit for bit. For operators with a write-into kernel the
-// reference is MulVecInto; KronOp has none, so its reference is MulVec —
-// mirroring exactly what the buffered release path computes.
+// must reproduce bit for bit: MulVecInto, exactly what the buffered
+// release path computes.
 type rangeCase struct {
 	name string
 	op   Operator
@@ -50,8 +49,7 @@ func rangeCases(r *rand.Rand) []rangeCase {
 }
 
 // referenceAnswers computes the product the buffered release serves: the
-// write-into path, which itself falls back to MulVec for operators
-// without an Into kernel (Kron).
+// write-into path over the full row range.
 func referenceAnswers(op Operator, x []float64) []float64 {
 	full := make([]float64, op.Rows())
 	MulVecInto(op, full, x)
@@ -122,33 +120,6 @@ func TestMulVecRangeIntoChunkSweep(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestMulVecRangeIntoFallback covers the slow path for operators outside
-// the RowChunkAnswerer set.
-func TestMulVecRangeIntoFallback(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	op := opaqueOp{randMatrix(r, 6, 4)}
-	x := []float64{1, -2, 0.5, 3}
-	full := referenceAnswers(op, x)
-	dst := make([]float64, 3)
-	MulVecRangeInto(op, dst, x, 2, 5)
-	for i := range dst {
-		if math.Float64bits(dst[i]) != math.Float64bits(full[2+i]) {
-			t.Fatalf("fallback row %d: got %v want %v", 2+i, dst[i], full[2+i])
-		}
-	}
-}
-
-// opaqueOp hides a Matrix behind the bare Operator interface so the
-// package helper cannot see the fast path.
-type opaqueOp struct{ m *Matrix }
-
-func (o opaqueOp) Rows() int                    { return o.m.Rows() }
-func (o opaqueOp) Cols() int                    { return o.m.Cols() }
-func (o opaqueOp) MulVec(x []float64) []float64 { return o.m.MulVec(x) }
-func (o opaqueOp) MulVecT(y []float64) []float64 {
-	return o.m.MulVecT(y)
 }
 
 func TestMulVecRangeIntoPanics(t *testing.T) {

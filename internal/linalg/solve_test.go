@@ -160,7 +160,7 @@ func TestSolveSPDAgreesWithCholesky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := a.MulVec(x)
+	got := MulVec(a, x)
 	for i := range got {
 		if math.Abs(got[i]-b[i]) > 1e-8 {
 			t.Fatalf("residual too large: got %v want %v", got, b)

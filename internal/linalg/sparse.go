@@ -117,36 +117,6 @@ func (s *Sparse) Cols() int { return s.cols }
 // NNZ returns the number of stored entries.
 func (s *Sparse) NNZ() int { return len(s.val) }
 
-// MulVec returns A·x in O(nnz).
-func (s *Sparse) MulVec(x []float64) []float64 {
-	checkMulVecLen(s, len(x), s.cols, false)
-	out := make([]float64, s.rows)
-	for i := 0; i < s.rows; i++ {
-		var acc float64
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			acc += s.val[k] * x[s.colIdx[k]]
-		}
-		out[i] = acc
-	}
-	return out
-}
-
-// MulVecT returns Aᵀ·y in O(nnz).
-func (s *Sparse) MulVecT(y []float64) []float64 {
-	checkMulVecLen(s, len(y), s.rows, true)
-	out := make([]float64, s.cols)
-	for i := 0; i < s.rows; i++ {
-		v := y[i]
-		if v == 0 {
-			continue
-		}
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			out[s.colIdx[k]] += v * s.val[k]
-		}
-	}
-	return out
-}
-
 // Gram returns the dense AᵀA accumulated row by row in O(Σ nnz(row)²).
 func (s *Sparse) Gram() *Matrix {
 	out := New(s.cols, s.cols)

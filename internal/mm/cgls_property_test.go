@@ -61,7 +61,7 @@ func TestCGLSInferenceMatchesPseudoInverse(t *testing.T) {
 				for i := range y {
 					y[i] = 10 * r.NormFloat64()
 				}
-				want := pinv.MulVec(y)
+				want := linalg.MulVec(pinv, y)
 				got, err := linalg.SolveCGLS(c.op, y, linalg.CGOptions{})
 				if err != nil {
 					t.Fatal(err)

@@ -159,8 +159,8 @@ func liftColNorms(s Shard, n int, cn2, cn1 []float64) error {
 		idxVec[i] = float64(i)
 		ones[i] = 1
 	}
-	idx := s.Project.MulVecT(idxVec)
-	cover := s.Project.MulVecT(ones)
+	idx := linalg.MulVecT(s.Project, idxVec)
+	cover := linalg.MulVecT(s.Project, ones)
 	shardCN2 := linalg.OperatorColNorms2(s.Mechanism.Strategy())
 	shardCN1 := linalg.OperatorColNormsL1(s.Mechanism.Strategy())
 	for j := 0; j < n; j++ {

@@ -74,7 +74,7 @@ func solveBarrierActive(p *Program, opts BarrierOptions) ([]float64, error) {
 	n := p.B.Cols()
 
 	// Strictly feasible start: u = α·1 with α chosen so Bᵀu ≤ 1/2.
-	colSums := p.B.TMulVec(ones(k))
+	colSums := linalg.MulVecT(p.B, ones(k))
 	var maxSum float64
 	for _, v := range colSums {
 		if v > maxSum {
@@ -128,7 +128,20 @@ func newtonCenter(p *Program, u []float64, t float64, opts BarrierOptions) error
 		for j, v := range s {
 			invS[j] = 1 / v
 		}
-		bInvS := p.B.MulVec(invS) // (B · 1/s)_i = Σ_j B_ij / s_j
+		// (B · 1/s)_i = Σ_j B_ij / s_j, summed left to right with one
+		// accumulator rather than through linalg's unrolled dense kernel:
+		// at large t the stopping test below sits at the rounding floor,
+		// so how many Newton steps a centering takes depends on the last
+		// bits of this product, and a fixed order keeps designs
+		// reproducible whatever the dense kernel's unrolling.
+		bInvS := make([]float64, k)
+		for i := range bInvS {
+			var acc float64
+			for j, b := range p.B.Row(i) {
+				acc += b * invS[j]
+			}
+			bInvS[i] = acc
+		}
 		for i := range grad {
 			grad[i] = -pw*t*p.C[i]/ipow(u[i], p.Power+1) + bInvS[i] - 1/u[i]
 		}
@@ -188,7 +201,7 @@ func newtonCenter(p *Program, u []float64, t float64, opts BarrierOptions) error
 
 // slack returns 1 - Bᵀu.
 func slack(p *Program, u []float64) []float64 {
-	s := p.B.TMulVec(u)
+	s := linalg.MulVecT(p.B, u)
 	for j := range s {
 		s[j] = 1 - s[j]
 	}

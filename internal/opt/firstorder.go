@@ -2,6 +2,8 @@ package opt
 
 import (
 	"math"
+
+	"adaptivemm/internal/linalg"
 )
 
 // FirstOrderOptions tunes the scalable first-order solver.
@@ -104,7 +106,7 @@ func solveFirstOrderActive(p *Program, opts FirstOrderOptions) []float64 {
 			u[i] = math.Exp(z[i])
 		}
 		// Constraint values and softmax weights.
-		s := p.B.TMulVec(u)
+		s := linalg.MulVecT(p.B, u)
 		maxS := 0.0
 		for _, v := range s {
 			if v > maxS {
@@ -130,7 +132,7 @@ func solveFirstOrderActive(p *Program, opts FirstOrderOptions) []float64 {
 
 		// Gradient of p·log smax: p/smax · Σ_j soft_j B_ij u_i ≈ use maxS for
 		// smax (smoothing error is absorbed by the schedule).
-		bSoft := p.B.MulVec(soft)
+		bSoft := linalg.MulVec(p.B, soft)
 		// Gradient of log Σ c e^{-p z}: -p·c_i u_i^{-p} / Σ.
 		for i := range grad {
 			grad[i] = pw*bSoft[i]*u[i]/maxS - pw*(p.C[i]/ipow(u[i], p.Power))/objTrace
@@ -149,7 +151,7 @@ func solveFirstOrderActive(p *Program, opts FirstOrderOptions) []float64 {
 	for i := range u {
 		u[i] = math.Exp(z[i])
 	}
-	s := p.B.TMulVec(u)
+	s := linalg.MulVecT(p.B, u)
 	maxS := 0.0
 	for _, v := range s {
 		if v > maxS {

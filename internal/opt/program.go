@@ -86,7 +86,7 @@ func (p *Program) Objective(u []float64) float64 {
 
 // MaxConstraint returns max_j (Bᵀu)_j.
 func (p *Program) MaxConstraint(u []float64) float64 {
-	s := p.B.TMulVec(u)
+	s := linalg.MulVecT(p.B, u)
 	var best float64
 	for _, v := range s {
 		if v > best {

@@ -19,9 +19,11 @@
 //     size class, privacy pair) that tilt the choice;
 //   - a PLAN artifact carrying the chosen operator, eigenvalues, error
 //     estimate, prepared mechanism and the explicit inference method, so
-//     downstream layers execute decisions instead of re-making them;
-//   - an optional PLAN CACHE keyed by caller-supplied canonical workload
-//     keys plus the hint fingerprint — the "cached" generator.
+//     downstream layers execute decisions instead of re-making them.
+//
+// Plan reuse is the caller's job: the server keeps one strategy per design
+// key (workload spec plus the hint Fingerprint) and single-flights
+// concurrent designs of one key.
 //
 // The public API, core and the release-engine server all plan through
 // this package; new generators (sharded, multi-backend) register here
@@ -137,21 +139,17 @@ type Hints struct {
 	// (excess blocks are merged smallest-first), and negative values
 	// disable sharding entirely.
 	MaxShards int
-	// CacheKey, when non-empty and the planner has a cache, makes the
-	// plan reusable under this canonical workload key combined with the
-	// hint fingerprint. Callers must guarantee equal keys mean equal
-	// workloads.
-	CacheKey string
 }
 
 // Fingerprint returns the canonical encoding of every hint that affects
-// generator choice — the cache-key suffix. Privacy is excluded: it scales
-// all candidates' errors by the same factor and never changes the winner
-// (per-pair error analyses are memoized on the Plan instead). AnalysisCap
-// is excluded too: it only bounds how large a domain gets the eager error
-// analysis, never which generator wins — and keeping it out lets a plan
-// saved offline (amdesign -save, analysis cap 2048) land in the cache
-// slot a server (analysis cap 512) looks up for the same spec.
+// generator choice — the design-key suffix callers reuse plans under.
+// Privacy is excluded: it scales all candidates' errors by the same
+// factor and never changes the winner (per-pair error analyses are
+// memoized on the Plan instead). AnalysisCap is excluded too: it only
+// bounds how large a domain gets the eager error analysis, never which
+// generator wins — and keeping it out lets a plan saved offline (amdesign
+// -save, analysis cap 2048) land in the cache slot a server (analysis cap
+// 512) looks up for the same spec.
 func (h Hints) Fingerprint() string {
 	return fmt.Sprintf("v3|c=%g|t=%d|lat=%d|sz=%d|gen=%s|g=%d|k=%d|b=%d|fo=%t|ms=%d",
 		h.MaxDesignCost, int64(h.MaxDesignTime), int64(h.LatencyTarget), h.Size,
@@ -399,14 +397,13 @@ func (p *Plan) LowerBound(pr mm.Privacy) float64 {
 	return mm.LowerBoundFromEigenvalues(p.Eigenvalues, p.Workload.NumQueries(), pr)
 }
 
-// Config configures a Planner.
-type Config struct {
-	// CacheSize bounds the plan cache; 0 disables caching.
-	CacheSize int
-}
+// Config configures a Planner. It has no fields; New keeps taking it
+// because the library, the CLI tools and the benchmark harness construct
+// planners with it.
+type Config struct{}
 
-// Planner holds the generator registry, the plan cache and the measured
-// design throughput. It is safe for concurrent use.
+// Planner holds the generator registry and the measured design
+// throughput. It is safe for concurrent use.
 type Planner struct {
 	mu   sync.Mutex
 	gens []Generator
@@ -419,18 +416,14 @@ type Planner struct {
 	// converted with the rate of the generator being admitted.
 	rates map[string]float64
 	// builds counts strategy builds actually executed (successful or
-	// failed), as opposed to plans served from the cache or rehydrated
-	// from a store. Restart tests assert it stays zero on a warm server.
+	// failed), as opposed to plans rehydrated from a store. Restart tests
+	// assert it stays zero on a warm server.
 	builds int64
-	pc     *planCache
 }
 
 // New returns a planner with the default generator registry.
-func New(cfg Config) *Planner {
+func New(Config) *Planner {
 	p := &Planner{rate: DefaultUnitsPerSecond, rates: map[string]float64{}}
-	if cfg.CacheSize > 0 {
-		p.pc = newPlanCache(cfg.CacheSize)
-	}
 	p.gens = []Generator{
 		marginalsGen{},
 		eigenGen{},
@@ -512,7 +505,7 @@ func (p *Planner) RestoreRates(rates map[string]float64) {
 }
 
 // Builds returns how many strategy builds this planner has executed
-// (cache hits and rehydrated plans do not count).
+// (rehydrated plans do not count).
 func (p *Planner) Builds() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -668,14 +661,6 @@ func (p *Planner) Explain(w *workload.Workload, h Hints) ([]Decision, error) {
 // method, prepares the mechanism, and runs the error analysis when the
 // domain affords it.
 func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
-	var key string
-	if p.pc != nil && h.CacheKey != "" {
-		key = h.CacheKey + "#" + h.Fingerprint()
-		if pl, ok := p.pc.get(key); ok {
-			return pl, nil
-		}
-	}
-
 	cands, decisions, err := p.propose(w, h)
 	if err != nil {
 		return nil, err
@@ -748,9 +733,6 @@ func (p *Planner) Plan(w *workload.Workload, h Hints) (*Plan, error) {
 		if _, err := plan.ExpectedError(h.Privacy); err != nil {
 			return nil, fmt.Errorf("planner: error analysis: %w", err)
 		}
-	}
-	if key != "" {
-		p.pc.put(key, plan)
 	}
 	return plan, nil
 }
@@ -899,39 +881,4 @@ func RehydratePlan(st PlanState) (*Plan, error) {
 		analysisCap: st.AnalysisCap,
 		errByPair:   memo,
 	}, nil
-}
-
-// planCache is a bounded FIFO plan cache.
-type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*Plan
-	order []string
-}
-
-func newPlanCache(cap int) *planCache {
-	return &planCache{cap: cap, m: map[string]*Plan{}}
-}
-
-func (c *planCache) get(key string) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.m[key]
-	return p, ok
-}
-
-func (c *planCache) put(key string, p *Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; ok {
-		c.m[key] = p
-		return
-	}
-	for len(c.m) >= c.cap && len(c.order) > 0 {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, old)
-	}
-	c.m[key] = p
-	c.order = append(c.order, key)
 }

@@ -207,34 +207,19 @@ func TestPlanErrorMatchesCoreAnalysis(t *testing.T) {
 	}
 }
 
-// The plan cache returns the identical plan for identical (key, hints)
-// and distinguishes different hint fingerprints.
-func TestPlanCache(t *testing.T) {
-	p := New(Config{CacheSize: 8})
-	w := workload.Prefix(32)
-	h := Hints{Privacy: testPrivacy, CacheKey: "prefix:32"}
-	p1, err := p.Plan(w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := p.Plan(w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Fatal("identical key and hints did not hit the plan cache")
+// The hint fingerprint is the suffix of every design key plans are reused
+// under: hints that change the generator choice must change it.
+func TestHintsFingerprint(t *testing.T) {
+	h := Hints{Privacy: testPrivacy}
+	h2 := h
+	h2.Generator = "hierarchical"
+	if h.Fingerprint() == h2.Fingerprint() {
+		t.Fatal("forcing a generator did not change the fingerprint")
 	}
 	h3 := h
-	h3.Generator = "hierarchical"
-	p3, err := p.Plan(w, h3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Fatal("different hint fingerprint reused the cached plan")
-	}
-	if p3.Generator != "hierarchical" {
-		t.Fatalf("forced generator = %q", p3.Generator)
+	h3.Privacy = mm.Privacy{Epsilon: 2, Delta: 1e-3}
+	if h.Fingerprint() != h3.Fingerprint() {
+		t.Fatal("the privacy pair changed the fingerprint; it never changes the winner")
 	}
 }
 

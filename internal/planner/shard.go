@@ -47,12 +47,11 @@ type shardedGen struct {
 func (g *shardedGen) Name() string { return "sharded" }
 
 // subHints derives the hints a shard's sub-plan is made with: solver and
-// budget knobs are inherited, while the forced generator, cache key,
-// eager error analysis and shard cap do not apply inside a shard.
+// budget knobs are inherited, while the forced generator, eager error
+// analysis and shard cap do not apply inside a shard.
 func subHints(h Hints) Hints {
 	sh := h
 	sh.Generator = ""
-	sh.CacheKey = ""
 	sh.Privacy = mm.Privacy{} // shard analyses are memoized lazily
 	sh.MaxShards = -1         // a shard never re-shards
 	return sh

@@ -254,28 +254,16 @@ func TestShardedForced(t *testing.T) {
 	}
 }
 
-// The plan cache key includes MaxShards: the same workload planned with a
-// different shard cap is a different plan.
-func TestShardedCacheFingerprint(t *testing.T) {
-	p := New(Config{CacheSize: 8})
+// The hint fingerprint includes MaxShards: the same workload planned with
+// sharding disabled is a different plan, and never a sharded one.
+func TestShardedFingerprint(t *testing.T) {
+	if (Hints{}).Fingerprint() == (Hints{MaxShards: -1}).Fingerprint() {
+		t.Fatal("MaxShards -1 and 0 share a fingerprint")
+	}
 	w := workload.Marginals(domain.MustShape(16, 16), 1)
-	a, err := p.Plan(w, Hints{CacheKey: "m1:16x16"})
+	c, err := New(Config{}).Plan(w, Hints{MaxShards: -1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := p.Plan(w, Hints{CacheKey: "m1:16x16"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("identical hints must hit the plan cache")
-	}
-	c, err := p.Plan(w, Hints{CacheKey: "m1:16x16", MaxShards: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatal("a different MaxShards hint must miss the cache")
 	}
 	if c.Generator == "sharded" {
 		t.Fatalf("MaxShards -1 planned %q", c.Generator)

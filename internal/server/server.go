@@ -116,10 +116,6 @@ const persistQueueCap = 64
 // It is passed to the planner as the plan's analysis cap.
 const analysisCap = 512
 
-// maxCachedPlans bounds the planner's plan cache, one more piece of
-// permanent server state kept finite.
-const maxCachedPlans = 4096
-
 // maxStoredStrategies bounds the strategy table (and with it the design
 // cache, which only references stored ids). Entries are never evicted —
 // /answer must keep resolving old ids — so without a bound a client
@@ -177,6 +173,10 @@ type Server struct {
 	// the id of the strategy planned for it, so repeated /design of the
 	// same request is O(1) instead of a repeated planning run.
 	cache map[string]string
+	// inflight maps a design key to the design of it now running, so
+	// concurrent cold /design calls of one key run one planning run.
+	// Guarded by mu.
+	inflight map[string]*designCall
 
 	// pl is the unified cost-based strategy planner every /design goes
 	// through; the server adds no generator-ordering logic of its own.
@@ -357,8 +357,9 @@ func Open(opts Options) (*Server, error) {
 	s := &Server{
 		strategies:  map[string]*entry{},
 		cache:       map[string]string{},
+		inflight:    map[string]*designCall{},
 		byID:        map[string]planRef{},
-		pl:          planner.New(planner.Config{CacheSize: maxCachedPlans}),
+		pl:          planner.New(planner.Config{}),
 		acct:        accountant.New(),
 		reg:         registry.New(),
 		allowSeeded: opts.AllowSeededReleases,
@@ -636,15 +637,45 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hints := s.hintsFor(&req, p)
+	id, ent, cached, derr := s.design(&req, hints)
+	if derr != nil {
+		httpError(w, derr.status, "%s", derr.msg)
+		return
+	}
+	s.respondDesign(w, id, ent, p, cached)
+}
 
-	key := s.cacheKey(&req, hints)
-	if key != "" {
+// designError is a failed design with the HTTP status it answers, shared
+// by every request that waited on the same design.
+type designError struct {
+	status int
+	msg    string
+}
+
+func designErrorf(status int, format string, args ...any) *designError {
+	return &designError{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// designCall is one running design of a key. Requests for the same key
+// wait on done, then read the strategy cache (or err).
+type designCall struct {
+	done chan struct{}
+	err  *designError
+}
+
+// design returns the strategy for a design request: the cached one for
+// its key, the result of a running design of the same key, or a fresh
+// planning run. cached reports that this request ran no design itself.
+// Explicit-rows requests have no key and always plan.
+func (s *Server) design(req *designRequest, hints planner.Hints) (string, *entry, bool, *designError) {
+	key := s.cacheKey(req, hints)
+	if key == "" {
+		id, ent, derr := s.runDesign(req, hints, key)
+		return id, ent, false, derr
+	}
+	for {
 		s.mu.RLock()
-		id, ok := s.cache[key]
-		var ent *entry
-		if ok {
-			ent = s.strategies[id]
-		}
+		id, ent := s.cached(key)
 		s.mu.RUnlock()
 		if ent != nil {
 			s.metrics.cacheHits.Inc()
@@ -653,39 +684,79 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 				// entry from quota eviction.
 				s.store.Touch(planstore.EntryID(key))
 			}
-			s.respondDesign(w, id, ent, p, true)
-			return
+			return id, ent, true, nil
 		}
+		s.mu.Lock()
+		if _, ent := s.cached(key); ent != nil {
+			s.mu.Unlock()
+			continue // stored since the read-locked look
+		}
+		if c := s.inflight[key]; c != nil {
+			s.mu.Unlock()
+			<-c.done
+			if c.err != nil {
+				return "", nil, false, c.err
+			}
+			continue // the leader stored its strategy: serve it as a hit
+		}
+		c := &designCall{done: make(chan struct{})}
+		s.inflight[key] = c
+		s.mu.Unlock()
+		return s.lead(c, req, hints, key)
 	}
+}
 
+// lead runs the design of key as the single flight c, then releases the
+// requests waiting on c.
+func (s *Server) lead(c *designCall, req *designRequest, hints planner.Hints, key string) (id string, ent *entry, cached bool, derr *designError) {
+	defer func() {
+		// Deferred so a panicking design still releases its waiters; they
+		// then find no strategy and plan again themselves.
+		s.mu.Lock()
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		c.err = derr
+		close(c.done)
+	}()
+	id, ent, derr = s.runDesign(req, hints, key)
+	return id, ent, false, derr
+}
+
+// cached returns the strategy stored for key, if any. The caller holds mu.
+func (s *Server) cached(key string) (string, *entry) {
+	id, ok := s.cache[key]
+	if !ok {
+		return "", nil
+	}
+	return id, s.strategies[id]
+}
+
+// runDesign plans a design request and stores the strategy, under key in
+// the cache when key is not empty.
+func (s *Server) runDesign(req *designRequest, hints planner.Hints, key string) (string, *entry, *designError) {
 	// Refuse before planning: a server at its strategy bound must not
 	// burn a full (possibly O(n³)) design per rejected request.
 	s.mu.RLock()
 	full := len(s.strategies) >= maxStoredStrategies
 	s.mu.RUnlock()
 	if full {
-		httpError(w, http.StatusInsufficientStorage,
+		return "", nil, designErrorf(http.StatusInsufficientStorage,
 			"server stores its limit of %d strategies; reuse an existing strategy id", maxStoredStrategies)
-		return
 	}
 
-	wl, err := s.buildWorkload(&req)
+	wl, err := s.buildWorkload(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return "", nil, designErrorf(http.StatusBadRequest, "%v", err)
 	}
 	if !wl.Answerable() {
-		httpError(w, http.StatusUnprocessableEntity, "workload %q is analyzable only, not answerable", wl.Name())
-		return
+		return "", nil, designErrorf(http.StatusUnprocessableEntity, "workload %q is analyzable only, not answerable", wl.Name())
 	}
 
-	hints.CacheKey = key
 	s.metrics.cacheMisses.Inc()
 	t0 := time.Now()
 	plan, err := s.pl.Plan(wl, hints)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "design failed: %v", err)
-		return
+		return "", nil, designErrorf(http.StatusUnprocessableEntity, "design failed: %v", err)
 	}
 	s.metrics.designSec.ObserveSince(t0)
 	if c, ok := s.metrics.designs[plan.Generator]; ok {
@@ -697,17 +768,13 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if len(s.strategies) >= maxStoredStrategies {
 		s.mu.Unlock()
-		httpError(w, http.StatusInsufficientStorage,
+		return "", nil, designErrorf(http.StatusInsufficientStorage,
 			"server stores its limit of %d strategies; reuse an existing strategy id", maxStoredStrategies)
-		return
 	}
 	s.nextID++
 	id := fmt.Sprintf("s%d", s.nextID)
 	s.strategies[id] = ent
 	if key != "" {
-		// Concurrent designs of the same request can both get here; the
-		// last one wins the cache slot and the loser's strategy stays
-		// usable under its own id.
 		s.cache[key] = id
 		s.recordPlanID(key, ent)
 	}
@@ -719,8 +786,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 
 	// Durability is write-behind: the response never waits on disk.
 	s.enqueuePersist(key, plan)
-
-	s.respondDesign(w, id, ent, p, false)
+	return id, ent, nil
 }
 
 // hintsFor translates the request's knobs into planner hints.

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"adaptivemm/internal/mm"
 )
 
 func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
@@ -639,5 +641,83 @@ func TestDesignShardedPlannerBlock(t *testing.T) {
 	}
 	if batch.Succeeded != 2 || batch.Failed != 0 {
 		t.Fatalf("batch outcome %+v", batch)
+	}
+}
+
+// Concurrent cold /design calls of one spec run one planning run: the
+// first becomes the leader, the rest wait for its strategy and are served
+// it as cache hits.
+func TestConcurrentColdDesignSingleFlight(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const n = 6
+	body := []byte(`{"workload":"prefix:64"}`)
+	start := make(chan struct{})
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/design", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			var d designResponse
+			if err := json.NewDecoder(resp.Body).Decode(&d); err != nil || resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d, decode error %v", resp.StatusCode, err)
+				return
+			}
+			ids[i] = d.Strategy
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("design %d: %v", i, err)
+		}
+		if ids[i] != ids[0] {
+			t.Fatalf("design %d got strategy %q, design 0 got %q", i, ids[i], ids[0])
+		}
+	}
+	if b := s.pl.Builds(); b != 1 {
+		t.Fatalf("%d concurrent designs of one spec ran %d builds, want 1", n, b)
+	}
+	s.mu.RLock()
+	stored := len(s.strategies)
+	s.mu.RUnlock()
+	if stored != 1 {
+		t.Fatalf("stored %d strategies, want 1", stored)
+	}
+}
+
+// A request that waits on a failing design gets the leader's error.
+func TestSingleFlightSharesDesignError(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := designRequest{Workload: "prefix:16"}
+	key := s.cacheKey(&req, s.hintsFor(&req, mm.Privacy{Epsilon: defaultEpsilon, Delta: defaultDelta}))
+	c := &designCall{done: make(chan struct{})}
+	s.mu.Lock()
+	s.inflight[key] = c
+	s.mu.Unlock()
+	c.err = designErrorf(http.StatusUnprocessableEntity, "design failed: leader failed")
+	close(c.done)
+
+	resp, out := post(t, ts, "/design", map[string]any{"workload": "prefix:16"})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(out, []byte("leader failed")) {
+		t.Fatalf("waiter got %d %s, want the leader's 422", resp.StatusCode, out)
+	}
+	if b := s.pl.Builds(); b != 0 {
+		t.Fatalf("waiter ran %d builds of its own", b)
 	}
 }

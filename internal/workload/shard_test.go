@@ -53,7 +53,7 @@ func TestMarginalBlocksSplitAndReassemble(t *testing.T) {
 	want := w.MulQueries(x)
 	got := make([]float64, w.NumQueries())
 	for _, b := range blocks {
-		sub := b.Sub.MulQueries(b.Project.MulVec(x))
+		sub := b.Sub.MulQueries(linalg.MulVec(b.Project, x))
 		total := 0
 		for _, seg := range b.Segments {
 			total += seg.Len
@@ -104,7 +104,7 @@ func TestMarginalBlocksMergeCap(t *testing.T) {
 	want := w.MulQueries(x)
 	got := make([]float64, w.NumQueries())
 	for _, b := range blocks {
-		sub := b.Sub.MulQueries(b.Project.MulVec(x))
+		sub := b.Sub.MulQueries(linalg.MulVec(b.Project, x))
 		pos := 0
 		for _, seg := range b.Segments {
 			copy(got[seg.Start:seg.Start+seg.Len], sub[pos:pos+seg.Len])
@@ -142,7 +142,7 @@ func TestCellBlocksSplitAndReassemble(t *testing.T) {
 	got := make([]float64, w.NumQueries())
 	covered := 0
 	for _, b := range blocks {
-		sub := b.Sub.MulQueries(b.Project.MulVec(x))
+		sub := b.Sub.MulQueries(linalg.MulVec(b.Project, x))
 		pos := 0
 		for _, seg := range b.Segments {
 			copy(got[seg.Start:seg.Start+seg.Len], sub[pos:pos+seg.Len])

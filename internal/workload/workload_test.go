@@ -421,7 +421,7 @@ func TestGramIsPSD(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		gx := g.MulVec(x)
+		gx := linalg.MulVec(g, x)
 		var q float64
 		for i := range x {
 			q += x[i] * gx[i]
@@ -464,5 +464,45 @@ func TestMarginalSubsetsMetadata(t *testing.T) {
 	reshaped := Marginals(domain.MustShape(2, 8), 1)
 	if _, ok := Union("reshaped", m1, reshaped).MarginalSubsets(); ok {
 		t.Fatal("union across shapes kept marginal metadata")
+	}
+}
+
+// The three answer spellings — MulQueries, MulQueriesInto and
+// MulQueriesRangeInto reassembled over chunks — return the same bits, so
+// the classic, scratch and streamed release paths of one estimate agree.
+func TestAnswerSpellingsBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	dense := linalg.New(9, 7)
+	for i := range dense.Data() {
+		dense.Data()[i] = r.NormFloat64()
+	}
+	for _, w := range []*Workload{
+		AllRange(domain.MustShape(24)),
+		FromMatrix("dense", domain.MustShape(7), dense),
+	} {
+		x := make([]float64, w.Cells())
+		for i := range x {
+			x[i] = r.NormFloat64() * 10
+		}
+		rows := w.NumQueries()
+		want := w.MulQueries(x)
+		got := w.MulQueriesInto(make([]float64, rows), x)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: MulQueriesInto[%d] = %v, MulQueries %v", w.Name(), i, got[i], want[i])
+			}
+		}
+		for _, chunk := range []int{1, 7, rows} {
+			buf := make([]float64, chunk)
+			for lo := 0; lo < rows; lo += chunk {
+				hi := min(lo+chunk, rows)
+				w.MulQueriesRangeInto(buf, x, lo, hi)
+				for i, v := range buf[:hi-lo] {
+					if math.Float64bits(v) != math.Float64bits(want[lo+i]) {
+						t.Fatalf("%s chunk %d: row %d = %v, MulQueries %v", w.Name(), chunk, lo+i, v, want[lo+i])
+					}
+				}
+			}
+		}
 	}
 }
